@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race smoke-fleet bench-parallel bench-incr bench-gov bench-hotpath bench-multicheck bench-scale bench-feas bench-registry bench-fleet bench-micro profile clean
+.PHONY: check fmt vet staticcheck build test race smoke-fleet bench-parallel bench-incr bench-gov bench-multicheck bench-scale bench-feas bench-registry bench-fleet bench-micro bench-selftest profile clean
 
 check: fmt vet staticcheck build race smoke-fleet
 
@@ -57,12 +57,6 @@ bench-incr:
 # any output difference. Writes BENCH_governance.json.
 bench-gov:
 	$(GO) run ./cmd/mcbench -exp gov
-
-# Hot-path ablation (DESIGN.md §10): default engine vs all four
-# optimizations disabled, full checker suite at -j 1 and -j 8; dies on
-# any output difference. Writes BENCH_hotpath.json.
-bench-hotpath:
-	$(GO) run ./cmd/mcbench -exp hotpath
 
 # Multi-checker dispatch ablation (DESIGN.md §11): 5/50/200-checker
 # suites with the compiled dispatch on and off; dies if the 50-checker
@@ -116,13 +110,18 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'BenchmarkBaseMatch|BenchmarkBlockTraversal|BenchmarkInstanceClone' \
 		-benchtime 100x ./internal/pattern/ ./internal/core/
 
+# Self-test of the end-to-end benchmark (BENCHMARK.json). e2ebench is
+# its own module, so the root `go test ./...` never reaches it.
+bench-selftest:
+	cd e2ebench && $(GO) test ./...
+
 # CPU + allocation profiles of a full suite run (written to pprof/).
 # Inspect with: go tool pprof pprof/mcbench.cpu
 profile:
 	mkdir -p pprof
-	$(GO) run ./cmd/mcbench -cpuprofile pprof/mcbench.cpu -memprofile pprof/mcbench.mem -exp hotpath
+	$(GO) run ./cmd/mcbench -cpuprofile pprof/mcbench.cpu -memprofile pprof/mcbench.mem -exp multicheck
 
 clean:
-	rm -f BENCH_parallel.json BENCH_incremental.json BENCH_governance.json BENCH_hotpath.json BENCH_multicheck.json BENCH_scale.json BENCH_feas.json BENCH_registry.json BENCH_fleet.json
+	rm -f BENCH_parallel.json BENCH_incremental.json BENCH_governance.json BENCH_multicheck.json BENCH_scale.json BENCH_feas.json BENCH_registry.json BENCH_fleet.json
 	rm -rf pprof
 	$(GO) clean ./...

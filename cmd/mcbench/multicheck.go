@@ -21,6 +21,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -134,6 +135,16 @@ func multiAnalyze(srcs map[string]string, checkerSrcs []string, jobs int, dispat
 		fmt.Fprintf(&sb, "%s %.3f %d\n", g.Rule, g.Z, len(g.Reports))
 	}
 	return elapsed, fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String())))
+}
+
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 func expMulticheck() {

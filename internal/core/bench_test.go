@@ -11,22 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
-// benchOptions returns the default configuration and the hot-path
-// ablation baseline (all four DESIGN.md §10 optimizations off).
-func benchOptions() (optimized, baseline Options) {
-	optimized = DefaultOptions()
-	baseline = DefaultOptions()
-	baseline.MatchMemo = false
-	baseline.BlockFilter = false
-	baseline.TupleIntern = false
-	baseline.LeanAlloc = false
-	return optimized, baseline
-}
-
 // BenchmarkBlockTraversal runs a full engine traversal over a seeded
-// workload with one bundled checker, optimized vs the hot-path
-// ablation baseline. The two must report identically; the benchmark
-// tracks how much the §10 machinery saves per analysis.
+// workload with one bundled checker, each iteration on a cold engine;
+// it tracks what one analysis costs with the §10 machinery.
 func BenchmarkBlockTraversal(b *testing.B) {
 	srcs, _ := workload.MixedTree(2, 10, 7)
 	src, ok := checkers.Lookup("lock")
@@ -53,48 +40,26 @@ func BenchmarkBlockTraversal(b *testing.B) {
 		}
 		files[i] = f
 	}
-	optimized, baseline := benchOptions()
-	for _, cfg := range []struct {
-		name string
-		opts Options
-	}{{"optimized", optimized}, {"baseline", baseline}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				NewEngine(prog.Build(files...), c, cfg.opts).Run()
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewEngine(prog.Build(files...), c, DefaultOptions()).Run()
 	}
 }
 
 // BenchmarkInstanceClone measures the per-clone cost of the shared
-// cons-list trace against the ablation's deep copy. Cloning happens at
-// every path split and call boundary for every active instance, so
-// this is the engine's hottest allocation site.
+// cons-list trace. Cloning happens at every path split and call
+// boundary for every active instance, so this is the engine's hottest
+// allocation site.
 func BenchmarkInstanceClone(b *testing.B) {
-	mk := func(copyTrace bool) *Instance {
-		in := &Instance{Var: "v", Obj: "p", Val: "locked", copyTrace: copyTrace}
-		for i := 0; i < 8; i++ {
-			in.trace = in.trace.push("f.c:10: locked -> unlocked at spin_unlock(p)")
-		}
-		return in
+	in := &Instance{Var: "v", Obj: "p", Val: "locked"}
+	for i := 0; i < 8; i++ {
+		in.trace = in.trace.push("f.c:10: locked -> unlocked at spin_unlock(p)")
 	}
-	b.Run("lean", func(b *testing.B) {
-		in := mk(false)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if cp := in.clone(); cp.trace != in.trace {
-				b.Fatal("lean clone must share the trace")
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if cp := in.clone(); cp.trace != in.trace {
+			b.Fatal("clone must share the trace")
 		}
-	})
-	b.Run("deep-copy", func(b *testing.B) {
-		in := mk(true)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if cp := in.clone(); cp.trace == in.trace {
-				b.Fatal("ablation clone must copy the trace")
-			}
-		}
-	})
+	}
 }

@@ -380,7 +380,7 @@ func (en *Engine) mayFire(bi *blockInfo, b *cfg.Block, ref metal.StateRef) bool 
 		fire = en.compiled.blockMayFire(b, en.transIdx[ref])
 	} else {
 		if bi.feats == nil {
-			bi.feats = featsOf(b, en.blockPoints(bi, b))
+			bi.feats = featsOf(b, blockPoints(bi, b))
 		}
 		for _, tr := range en.transIdx[ref] {
 			for _, a := range en.filters[tr].atoms {

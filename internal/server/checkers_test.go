@@ -489,40 +489,6 @@ func TestCheckerCRUDErrors(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasDeprecationHeader: the unversioned paths still work
-// but answer with Deprecation and a successor-version Link; the /v1
-// paths answer with neither.
-func TestLegacyAliasDeprecationHeader(t *testing.T) {
-	srv := New(Config{Checkers: []string{"free"}})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for _, path := range []string{"/stats", "/metrics"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("legacy %s: status %d", path, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("legacy %s: no Deprecation header", path)
-		}
-		if want := fmt.Sprintf("</v1%s>; rel=\"successor-version\"", path); resp.Header.Get("Link") != want {
-			t.Errorf("legacy %s: Link = %q, want %q", path, resp.Header.Get("Link"), want)
-		}
-	}
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1/stats carries a Deprecation header")
-	}
-}
-
 // TestMetricsExposeCheckerPlatform: the new counters appear on
 // /v1/metrics in Prometheus text format, including the labeled
 // validations counter.

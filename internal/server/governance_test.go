@@ -40,9 +40,9 @@ func decodeEnvelope(t *testing.T, data []byte) ErrorEnvelope {
 	return env
 }
 
-// TestV1AndLegacyPathsServeIdentically: both path families answer, and
-// a tree pushed through one is visible through the other.
-func TestV1AndLegacyPathsServeIdentically(t *testing.T) {
+// TestV1PathsServe: a tree pushed through /v1/analyze is visible
+// through every /v1 read route.
+func TestV1PathsServe(t *testing.T) {
 	srv := New(Config{Checkers: []string{"free"}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -51,16 +51,11 @@ func TestV1AndLegacyPathsServeIdentically(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/analyze: status %d", resp.StatusCode)
 	}
-	for _, path := range []string{"/v1/reports", "/reports", "/v1/stats", "/stats", "/v1/metrics", "/metrics"} {
+	for _, path := range []string{"/v1/reports", "/v1/stats", "/v1/metrics"} {
 		code, body := getBody(t, ts.URL+path)
 		if code != http.StatusOK {
 			t.Errorf("%s: status %d: %.200s", path, code, body)
 		}
-	}
-	// Legacy POST still works too.
-	resp, _ = postRaw(t, ts.URL+"/analyze", AnalyzeRequest{})
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("legacy /analyze: status %d", resp.StatusCode)
 	}
 }
 
@@ -69,45 +64,36 @@ func TestErrorEnvelopeShape(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	get := func(path string) func() (*http.Response, []byte) {
+		return func() (*http.Response, []byte) {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var buf bytes.Buffer
+			buf.ReadFrom(resp.Body)
+			return resp, buf.Bytes()
+		}
+	}
 	cases := []struct {
 		name   string
 		do     func() (*http.Response, []byte)
 		status int
 		code   string
 	}{
-		{"unknown path", func() (*http.Response, []byte) {
-			resp, err := http.Get(ts.URL + "/v2/nothing")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var buf bytes.Buffer
-			buf.ReadFrom(resp.Body)
-			return resp, buf.Bytes()
-		}, http.StatusNotFound, "not_found"},
-		{"GET on analyze", func() (*http.Response, []byte) {
-			resp, err := http.Get(ts.URL + "/v1/analyze")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var buf bytes.Buffer
-			buf.ReadFrom(resp.Body)
-			return resp, buf.Bytes()
-		}, http.StatusMethodNotAllowed, "method_not_allowed"},
+		// The pre-v1 unversioned routes are gone: they 404 like any
+		// unknown path.
+		{"unknown path", get("/v2/nothing"), http.StatusNotFound, "not_found"},
+		{"unknown path /analyze", get("/analyze"), http.StatusNotFound, "not_found"},
+		{"unknown path /reports", get("/reports"), http.StatusNotFound, "not_found"},
+		{"unknown path /stats", get("/stats"), http.StatusNotFound, "not_found"},
+		{"unknown path /metrics", get("/metrics"), http.StatusNotFound, "not_found"},
+		{"GET on analyze", get("/v1/analyze"), http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"empty tree", func() (*http.Response, []byte) {
 			return postRaw(t, ts.URL+"/v1/analyze", AnalyzeRequest{Reset: true})
 		}, http.StatusBadRequest, "bad_request"},
-		{"reports before analysis", func() (*http.Response, []byte) {
-			resp, err := http.Get(ts.URL + "/v1/reports")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var buf bytes.Buffer
-			buf.ReadFrom(resp.Body)
-			return resp, buf.Bytes()
-		}, http.StatusNotFound, "no_analysis"},
+		{"reports before analysis", get("/v1/reports"), http.StatusNotFound, "no_analysis"},
 		{"unparseable C", func() (*http.Response, []byte) {
 			return postRaw(t, ts.URL+"/v1/analyze", AnalyzeRequest{Files: map[string]string{"bad.c": "int f( {"}})
 		}, http.StatusUnprocessableEntity, "analysis_failed"},

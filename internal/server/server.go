@@ -27,10 +27,10 @@
 // resident tree, and unchanged checkers replay byte-identically
 // because cache keys fingerprint checker text.
 //
-// The unversioned paths (/analyze, /reports, /stats, /metrics) remain
-// as aliases for pre-v1 clients and answer with a "Deprecation: true"
-// header naming the /v1 successor. Every error response is a uniform
-// JSON envelope {"code": ..., "message": ..., "details": ...}.
+// Every other path, including the pre-v1 unversioned ones (/analyze,
+// /reports, /stats, /metrics), gets an enveloped 404. Every error
+// response is a uniform JSON envelope {"code": ..., "message": ...,
+// "details": ...}.
 //
 // Resource governance: at most Config.MaxInFlight analyze requests are
 // admitted at once (excess gets 429 "overloaded"), each admitted run
@@ -423,9 +423,8 @@ func reportJSON(r *report.Report) ReportJSON {
 }
 
 // Handler returns the daemon's HTTP handler: the /v1/ surface
-// (including the /v1/checkers admission pipeline), the unversioned
-// legacy aliases (which answer with a Deprecation header naming their
-// /v1 successor), and an enveloped 404 for everything else.
+// (including the /v1/checkers admission pipeline) and an enveloped 404
+// for everything else.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
@@ -471,19 +470,6 @@ func (s *Server) Handler() http.Handler {
 	}
 	mux.HandleFunc("/v1/checkers", fallback)
 	mux.HandleFunc("/v1/checkers/", fallback)
-	// Legacy aliases: same handlers, plus deprecation signaling (the
-	// /v1 path is the successor; new routes have no legacy alias).
-	legacy := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-			h(w, r)
-		}
-	}
-	mux.HandleFunc("/analyze", legacy(s.handleAnalyze))
-	mux.HandleFunc("/reports", legacy(s.handleReports))
-	mux.HandleFunc("/stats", legacy(s.handleStats))
-	mux.HandleFunc("/metrics", legacy(s.handleMetrics))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		s.countRequest()
 		writeError(w, http.StatusNotFound, "not_found",
@@ -937,9 +923,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("xgccd_reports", float64(len(s.last.Reports)), "reports in the last run")
 	}
 	if in := s.lastIncr; in != nil {
-		counter("xgccd_cache_hits_total", in.CacheHits, "store hits in the last run")
-		counter("xgccd_cache_misses_total", in.CacheMisses, "store misses in the last run")
-		counter("xgccd_cache_puts_total", in.CachePuts, "store writes in the last run")
+		gauge("xgccd_cache_hits_last", float64(in.CacheHits), "store hits in the last run")
+		gauge("xgccd_cache_misses_last", float64(in.CacheMisses), "store misses in the last run")
+		gauge("xgccd_cache_puts_last", float64(in.CachePuts), "store writes in the last run")
 		gauge("xgccd_funcs_changed", float64(in.FuncsChanged), "functions whose content changed in the last run")
 		gauge("xgccd_funcs_invalidated", float64(in.FuncsInvalidated), "changed functions plus transitive callers")
 		gauge("xgccd_funcs_analyzed_live", float64(in.FuncsAnalyzedLive), "function analyses performed live")

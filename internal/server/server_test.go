@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 func postAnalyze(t *testing.T, ts *httptest.Server, req AnalyzeRequest) AnalyzeResponse {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/analyze", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestDaemonSession(t *testing.T) {
 	defer ts.Close()
 
 	// Reports before any analysis: 404.
-	if code, _ := getBody(t, ts.URL+"/reports"); code != http.StatusNotFound {
+	if code, _ := getBody(t, ts.URL+"/v1/reports"); code != http.StatusNotFound {
 		t.Errorf("reports before analysis: status %d", code)
 	}
 
@@ -91,29 +92,29 @@ func TestDaemonSession(t *testing.T) {
 	}
 
 	// Reports endpoint: json and text, generic and z ranking.
-	code, body := getBody(t, ts.URL+"/reports")
+	code, body := getBody(t, ts.URL+"/v1/reports")
 	if code != http.StatusOK || !strings.Contains(body, "\"pos\"") {
 		t.Errorf("reports json: %d %.120s", code, body)
 	}
-	code, body = getBody(t, ts.URL+"/reports?format=text&rank=z")
+	code, body = getBody(t, ts.URL+"/v1/reports?format=text&rank=z")
 	if code != http.StatusOK || !strings.Contains(body, "use") && !strings.Contains(body, "free") {
 		t.Errorf("reports text: %d %.120s", code, body)
 	}
 
 	// Stats endpoint.
-	code, body = getBody(t, ts.URL+"/stats")
+	code, body = getBody(t, ts.URL+"/v1/stats")
 	if code != http.StatusOK || !strings.Contains(body, "\"analyses\": 2") {
 		t.Errorf("stats: %d %.200s", code, body)
 	}
 
 	// Metrics endpoint: Prometheus text with the headline series.
-	code, body = getBody(t, ts.URL+"/metrics")
+	code, body = getBody(t, ts.URL+"/v1/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
 	for _, want := range []string{
 		"xgccd_requests_total",
-		"xgccd_cache_hits_total",
+		"xgccd_cache_hits_last",
 		"xgccd_funcs_invalidated",
 		"xgccd_units_replayed",
 		"xgccd_phase_analyze_seconds",
@@ -135,13 +136,13 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// GET /analyze is a method error.
-	if code, _ := getBody(t, ts.URL+"/analyze"); code != http.StatusMethodNotAllowed {
+	// GET /v1/analyze is a method error.
+	if code, _ := getBody(t, ts.URL+"/v1/analyze"); code != http.StatusMethodNotAllowed {
 		t.Errorf("GET analyze: %d", code)
 	}
 	// Empty tree is a 400.
 	body, _ := json.Marshal(AnalyzeRequest{})
-	resp, err := http.Post(ts.URL+"/analyze", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +151,11 @@ func TestDaemonRejectsBadRequests(t *testing.T) {
 		t.Errorf("empty analyze: %d", resp.StatusCode)
 	}
 	// Unparseable C is a 422, and the daemon survives it.
-	r2 := postJSONStatus(t, ts.URL+"/analyze", `{"files": {"bad.c": "int ("}}`)
+	r2 := postJSONStatus(t, ts.URL+"/v1/analyze", `{"files": {"bad.c": "int ("}}`)
 	if r2 != http.StatusUnprocessableEntity {
 		t.Errorf("bad C: %d", r2)
 	}
-	r3 := postJSONStatus(t, ts.URL+"/analyze", `{"files": {"ok.c": "void f(void) { }"}}`)
+	r3 := postJSONStatus(t, ts.URL+"/v1/analyze", `{"files": {"ok.c": "void f(void) { }"}}`)
 	if r3 != http.StatusOK {
 		t.Errorf("after bad C, good C: %d", r3)
 	}
@@ -168,4 +169,68 @@ func postJSONStatus(t *testing.T, url, body string) int {
 	}
 	resp.Body.Close()
 	return resp.StatusCode
+}
+
+// TestMetricsCountersMonotonic: every series typed counter must never
+// decrease between scrapes (Prometheus rate() reads a drop as a
+// reset). A cold multi-file analyze followed by a one-file edit makes
+// the last-run cache values drop, so those must be gauges.
+func TestMetricsCountersMonotonic(t *testing.T) {
+	srv := New(Config{Checkers: []string{"free", "lock"}, Jobs: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	srcs, _ := workload.MixedTree(3, 10, 2002)
+	postAnalyze(t, ts, AnalyzeRequest{Files: srcs})
+	before := scrapeCounters(t, ts)
+	edited := workload.TweakBody("tree_0.c").Apply(srcs)
+	postAnalyze(t, ts, AnalyzeRequest{Files: map[string]string{"tree_0.c": edited["tree_0.c"]}})
+	after := scrapeCounters(t, ts)
+
+	if len(before) == 0 {
+		t.Fatal("no counter series scraped")
+	}
+	for name, v := range before {
+		w, ok := after[name]
+		if !ok {
+			t.Errorf("counter %s vanished after the edit", name)
+			continue
+		}
+		if w < v {
+			t.Errorf("counter %s decreased: %g -> %g", name, v, w)
+		}
+	}
+}
+
+// scrapeCounters returns every sample of the families /v1/metrics
+// declares with "# TYPE <name> counter", keyed by series (name plus
+// labels).
+func scrapeCounters(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	code, body := getBody(t, ts.URL+"/v1/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics: status %d", code)
+	}
+	counters := map[string]bool{}
+	out := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && f[3] == "counter" {
+			counters[f[2]] = true
+			continue
+		}
+		if len(f) != 2 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		family, _, _ := strings.Cut(f[0], "{")
+		if !counters[family] {
+			continue
+		}
+		v, err := strconv.ParseFloat(f[1], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[f[0]] = v
+	}
+	return out
 }

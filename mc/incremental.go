@@ -562,11 +562,11 @@ func sumAnalyses(s *core.Stats) int {
 }
 
 // optionsFingerprint renders every semantics-affecting Options field
-// into the cache key. Semantics-preserving switches (MatchMemo,
-// BlockFilter, TupleIntern, LeanAlloc, MaxResidentMB) are deliberately
-// excluded: they cannot change any output byte, so runs under either
-// setting share entries — which is also what lets the streaming
-// determinism test pin spill-on warm runs against spill-off cold ones.
+// into the cache key. The semantics-preserving MaxResidentMB is
+// deliberately excluded: it cannot change any output byte, so runs
+// under either setting share entries — which is also what lets the
+// streaming determinism test pin spill-on warm runs against spill-off
+// cold ones.
 func optionsFingerprint(o Options) string {
 	var sb strings.Builder
 	sb.WriteString("opts|")
