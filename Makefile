@@ -45,10 +45,10 @@ smoke-fleet:
 bench-parallel:
 	$(GO) run ./cmd/mcbench -exp par
 
-# Incremental-replay series (DESIGN.md §8): warm-vs-cold live function
-# analyses per edit on the E11 workload; dies if warm output is not
-# byte-identical to cold or the one-file body tweak falls below the 5x
-# reduction bar. Writes BENCH_incremental.json.
+# Incremental-replay series (DESIGN.md §8): warm-vs-cold live
+# (checker, unit) tasks per edit on the E11 workload; dies if warm
+# output is not byte-identical to cold or the one-file body tweak falls
+# below the 5x live-unit reduction bar. Writes BENCH_incremental.json.
 bench-incr:
 	$(GO) run ./cmd/mcbench -exp incr
 
@@ -58,10 +58,10 @@ bench-incr:
 bench-gov:
 	$(GO) run ./cmd/mcbench -exp gov
 
-# Multi-checker dispatch ablation (DESIGN.md §11): 5/50/200-checker
-# suites with the compiled dispatch on and off; dies if the 50-checker
-# suite exceeds 3x the 5-checker runtime with dispatch on, or on any
-# output difference. Writes BENCH_multicheck.json.
+# Multi-checker dispatch scaling series (DESIGN.md §11): 5/50/200-checker
+# suites at -j 1 and -j 8; dies if the 50-checker suite exceeds 3x the
+# 5-checker runtime, or if the output differs across -j or trials.
+# Writes BENCH_multicheck.json.
 bench-multicheck:
 	$(GO) run ./cmd/mcbench -exp multicheck
 

@@ -2,10 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/cache"
@@ -189,12 +187,5 @@ func expFeas() {
 	}
 
 	bench.PeakRSSBytes = profiling.PeakRSS()
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		die(err)
-	}
-	if err := os.WriteFile("BENCH_feas.json", append(data, '\n'), 0o644); err != nil {
-		die(err)
-	}
-	fmt.Println("wrote BENCH_feas.json")
+	writeBench("BENCH_feas.json", bench)
 }

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -326,12 +325,5 @@ func expFleet() {
 	}
 
 	bench.PeakRSSBytes = profiling.PeakRSS()
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		die(err)
-	}
-	if err := os.WriteFile("BENCH_fleet.json", append(data, '\n'), 0o644); err != nil {
-		die(err)
-	}
-	fmt.Println("wrote BENCH_fleet.json")
+	writeBench("BENCH_fleet.json", bench)
 }

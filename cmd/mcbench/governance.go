@@ -3,9 +3,7 @@ package main
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -60,11 +58,13 @@ func govAnalyze(srcs map[string]string, governed bool) (time.Duration, string) {
 		// Budgets far above what the workload needs: the run pays the
 		// bookkeeping (step counters, amortized deadline polls) but
 		// never degrades.
-		if cerr := a.Configure(mc.RunConfig{Budgets: mc.Budgets{
+		opts := mc.DefaultOptions()
+		opts.Budgets = mc.Budgets{
 			PathSteps:  1 << 40,
 			FuncBlocks: 1 << 40,
 			FuncTime:   time.Hour,
-		}}); cerr != nil {
+		}
+		if cerr := a.Configure(mc.RunConfig{Options: &opts}); cerr != nil {
 			die(cerr)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -161,12 +161,5 @@ func expGov() {
 	if overhead > boundPct {
 		die(fmt.Errorf("governance overhead %.2f%% exceeds %.0f%% bound", overhead, boundPct))
 	}
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		die(err)
-	}
-	if err := os.WriteFile("BENCH_governance.json", append(data, '\n'), 0o644); err != nil {
-		die(err)
-	}
-	fmt.Println("wrote BENCH_governance.json")
+	writeBench("BENCH_governance.json", bench)
 }

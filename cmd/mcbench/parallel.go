@@ -81,6 +81,19 @@ func die(err error) {
 	os.Exit(1)
 }
 
+// writeBench writes one tier's series as indented JSON to path,
+// relative to the process CWD.
+func writeBench(path string, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		die(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		die(err)
+	}
+	fmt.Println("wrote " + path)
+}
+
 func expPar() {
 	srcs, _ := workload.MixedTree(4, 25, 2002)
 	sweep := []int{1, 2, 4, 8}
@@ -145,12 +158,5 @@ func expPar() {
 		}
 	}
 	bench.PeakRSSBytes = profiling.PeakRSS()
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		die(err)
-	}
-	if err := os.WriteFile("BENCH_parallel.json", append(data, '\n'), 0o644); err != nil {
-		die(err)
-	}
-	fmt.Println("wrote BENCH_parallel.json")
+	writeBench("BENCH_parallel.json", bench)
 }

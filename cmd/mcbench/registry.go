@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"time"
 
 	"repro/internal/profiling"
@@ -243,12 +242,5 @@ func expRegistry() {
 		bench.ReloadAnalyzeSeconds, bench.ReloadLatencySeconds)
 	fmt.Printf("admissions: %d (%d admitted, %d rejected) in %.3fs = %.1f/s\n",
 		bench.Admissions, admitted, rejected, bench.AdmissionSeconds, bench.AdmissionsPerSecond)
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		die(err)
-	}
-	if err := os.WriteFile("BENCH_registry.json", append(data, '\n'), 0o644); err != nil {
-		die(err)
-	}
-	fmt.Println("wrote BENCH_registry.json")
+	writeBench("BENCH_registry.json", bench)
 }

@@ -76,10 +76,11 @@ func runScaleCell(spec string) {
 	}
 
 	a := mc.NewAnalyzer()
-	cfg := mc.RunConfig{Jobs: c.Jobs}
+	opts := mc.DefaultOptions()
 	if c.Spill {
-		cfg.MaxResidentMB = scaleMaxResidentMB
+		opts.MaxResidentMB = scaleMaxResidentMB
 	}
+	cfg := mc.RunConfig{Options: &opts, Jobs: c.Jobs}
 	if c.Cached {
 		cfg.CacheStore = cache.NewMemStore()
 	}
@@ -285,12 +286,5 @@ func expScale() {
 		}
 	}
 
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		die(err)
-	}
-	if err := os.WriteFile("BENCH_scale.json", append(data, '\n'), 0o644); err != nil {
-		die(err)
-	}
-	fmt.Println("wrote BENCH_scale.json")
+	writeBench("BENCH_scale.json", bench)
 }

@@ -113,18 +113,18 @@ func main() {
 	opts := mc.DefaultOptions()
 	opts.Interprocedural = !*intra
 	opts.FPP = !*noFPP
+	opts.Budgets = mc.Budgets{
+		PathSteps:  *pathSteps,
+		FuncBlocks: *funcBlocks,
+		FuncTime:   *funcTime,
+	}
+	opts.MaxResidentMB = *maxResident
 	if err := a.Configure(mc.RunConfig{
 		Options:  &opts,
 		Jobs:     *jobs,
 		CacheDir: *cacheDir,
 		Timeout:  *timeout,
-		Budgets: mc.Budgets{
-			PathSteps:  *pathSteps,
-			FuncBlocks: *funcBlocks,
-			FuncTime:   *funcTime,
-		},
-		MaxResidentMB: *maxResident,
-		SpillDir:      *spillDir,
+		SpillDir: *spillDir,
 	}); err != nil {
 		fatal(err)
 	}

@@ -1,11 +1,11 @@
 package core
 
 // Multi-checker compiled dispatch (DESIGN.md §11). With N loaded
-// checkers the engine layer used to pay N independent per-block scans:
-// each engine derived the same block features and tested its own
-// transitions' pre-filter atoms against them. CompileDispatch builds,
-// once per run, the union of every checker's transition patterns into
-// one dispatch structure:
+// checkers, per-engine filtering would pay N independent per-block
+// scans: each engine deriving the same block features and testing its
+// own transitions' pre-filter atoms against them. CompileDispatch
+// builds, once per run, the union of every checker's transition
+// patterns into one dispatch structure:
 //
 //   - a multi-pattern callee-name literal index (the Teddy-prefilter
 //     analogue): one hash probe per distinct callee in a block answers
@@ -20,9 +20,10 @@ package core
 //
 // One walk per block then yields the candidate (checker, transition)
 // admit set as a bitset, shared read-only by every engine; the engines'
-// mayFire gate becomes bitset probes instead of per-engine feature
-// recomputation. On top of the per-block sets the compiler runs the
-// depth-1 reachability argument: checker state only ever changes when a
+// mayFire gate is a bitset probe. It is the only block filter: an
+// engine with no CompiledDispatch attached dispatches every transition.
+// On top of the per-block sets the compiler runs the depth-1
+// reachability argument: checker state only ever changes when a
 // transition FIRES, so a checker none of whose initial-global-state
 // transitions can fire anywhere in a scope is a provable no-op over
 // that scope. Per-root callee-closure admit sets turn that into whole
@@ -168,7 +169,7 @@ func CompileDispatch(p *prog.Program, checkers []*metal.Checker) *CompiledDispat
 		init := metal.StateRef{Val: c.InitialGlobal()}
 		for _, tr := range c.Transitions {
 			id := int32(len(cd.entries))
-			atoms := filterOf(tr.Pat).atoms
+			atoms := filterOf(tr.Pat)
 			eop := pattern.MayMatchEndOfPath(tr.Pat)
 			cd.entries = append(cd.entries, compiledTrans{
 				checker: ci,

@@ -39,14 +39,6 @@ type Options struct {
 	// MaxPartitions caps the disjoint exit-state partitions built at a
 	// call return (§6.3 step 5).
 	MaxPartitions int
-	// MultiDispatch compiles the union of all loaded checkers'
-	// transition patterns into one shared dispatch structure per run
-	// (DESIGN.md §11): a callee-name literal index plus a root-kind
-	// discrimination tree yield per-block candidate sets for every
-	// checker in one walk, and provably inert checkers skip whole
-	// roots. Semantics-preserving (byte-identical output); off runs
-	// the faithful per-engine compat path.
-	MultiDispatch bool
 	// MaxResidentMB is a soft memory budget in MiB; > 0 enables the
 	// streaming mode (DESIGN.md §12): function summaries spill to an
 	// on-disk store and funcInfo caches plus ASTs are evicted at unit
@@ -69,7 +61,6 @@ func DefaultOptions() Options {
 		FPP:             true,
 		Synonyms:        true,
 		Kills:           true,
-		MultiDispatch:   true,
 		MaxBlocks:       0,
 		MaxCallDepth:    64,
 		MaxPartitions:   16,
@@ -188,13 +179,11 @@ type Engine struct {
 	// intern hash-conses state tuples for the summary caches
 	// (intern.go); one table per engine, engines are single-goroutine.
 	intern *interner
-	// filters holds each transition's syntactic pre-filter
-	// (prefilter.go).
-	filters map[*metal.Transition]transFilter
 	// compiled is the run-wide multi-checker dispatch structure
-	// (compile.go), shared read-only across engines; nil runs the
-	// per-engine compat path. checkerIdx is this engine's checker's
-	// index in the compiled checker list.
+	// (compile.go), shared read-only across engines; nil dispatches
+	// every transition at every point (the unfiltered reference).
+	// checkerIdx is this engine's checker's index in the compiled
+	// checker list.
 	compiled   *CompiledDispatch
 	checkerIdx int
 	// Streaming mode (stream.go): spill/spillKey address the summary
@@ -231,7 +220,6 @@ func NewEngineShared(p *prog.Program, c *metal.Checker, opts Options, shared *Sh
 		actions:   builtinActions(),
 		intern:    newInterner(),
 	}
-	en.filters = buildFilters(c)
 	en.govern = opts.Budgets.Active()
 	en.Stats.Analyses = map[string]int{}
 	en.transIdx = map[metal.StateRef][]*metal.Transition{}

@@ -3,11 +3,12 @@ package core
 // Per-block transition pre-filters (DESIGN.md §10). Most checkers
 // watch for a handful of syntactic shapes — usually calls to a few
 // named functions — so most blocks cannot fire any transition of most
-// state refs. The engine derives, per transition, a conservative
-// description of the program points its pattern could possibly match
-// (root AST-node kind, callee name, return-statement), and per block a
+// state refs. Each transition's pattern yields a conservative
+// description of the program points it could possibly match (root
+// AST-node kind, callee name, return-statement), and each block a
 // cheap syntactic feature summary (which root kinds occur, which
-// functions are called by name, whether the block returns). A state
+// functions are called by name, whether the block returns). The
+// compiled dispatch (compile.go) indexes both once per run; a state
 // ref whose transitions all miss the block's features skips pattern
 // dispatch there entirely. The filter is sound-by-construction: every
 // atom below is implied by the structural requirements Base.Match
@@ -124,13 +125,6 @@ type filterAtom struct {
 
 var anyAtom = filterAtom{kind: kindAny}
 
-// transFilter is the disjunction of a pattern's alternatives; an
-// empty alternative list means the pattern can never match at an
-// in-block or return point (e.g. ${0}, or pure $end_of_path$).
-type transFilter struct {
-	atoms []filterAtom
-}
-
 // conjoin merges two atoms; ok is false when they contradict.
 func conjoin(a, b filterAtom) (filterAtom, bool) {
 	if a == anyAtom {
@@ -173,39 +167,41 @@ func mergeCallee(a, b filterAtom) (filterAtom, bool) {
 	return a, true
 }
 
-// filterOf computes the pattern's filter. Soundness invariant: if
-// p.Match(ctx, prior) can succeed at an in-block or return-statement
-// dispatch for ANY prior, some atom accepts that point.
-func filterOf(p pattern.Pattern) transFilter {
+// filterOf computes the pattern's filter: the disjunction of its
+// alternatives' atoms. An empty list means the pattern can never match
+// at an in-block or return point (e.g. ${0}, or pure $end_of_path$).
+// Soundness invariant: if p.Match(ctx, prior) can succeed at an
+// in-block or return-statement dispatch for ANY prior, some atom
+// accepts that point.
+func filterOf(p pattern.Pattern) []filterAtom {
 	switch p := p.(type) {
 	case *pattern.Base:
-		return transFilter{atoms: []filterAtom{baseAtom(p)}}
+		return []filterAtom{baseAtom(p)}
 	case *pattern.And:
-		fx, fy := filterOf(p.X), filterOf(p.Y)
+		fy := filterOf(p.Y)
 		var atoms []filterAtom
-		for _, a := range fx.atoms {
-			for _, b := range fy.atoms {
+		for _, a := range filterOf(p.X) {
+			for _, b := range fy {
 				if c, ok := conjoin(a, b); ok {
 					atoms = append(atoms, c)
 				}
 			}
 		}
-		return transFilter{atoms: atoms}
+		return atoms
 	case *pattern.Or:
-		fx, fy := filterOf(p.X), filterOf(p.Y)
-		return transFilter{atoms: append(append([]filterAtom(nil), fx.atoms...), fy.atoms...)}
+		return append(filterOf(p.X), filterOf(p.Y)...)
 	case *pattern.Callout:
 		if p.Const && !p.ConstVal {
-			return transFilter{} // ${0}: never matches
+			return nil // ${0}: never matches
 		}
-		return transFilter{atoms: []filterAtom{anyAtom}}
+		return []filterAtom{anyAtom}
 	case pattern.EndOfPath:
 		// In-block and return-point dispatches always carry
 		// EndOfPath == false; the exit-block endOfPath pass dispatches
 		// without the filter.
-		return transFilter{}
+		return nil
 	default:
-		return transFilter{atoms: []filterAtom{anyAtom}}
+		return []filterAtom{anyAtom}
 	}
 }
 
@@ -355,45 +351,20 @@ func (f *blockFeats) admits(a filterAtom) bool {
 	return a.callee == "" || f.callees[a.callee]
 }
 
-// buildFilters precomputes every transition's filter at engine
-// construction.
-func buildFilters(c *metal.Checker) map[*metal.Transition]transFilter {
-	out := make(map[*metal.Transition]transFilter, len(c.Transitions))
-	for _, tr := range c.Transitions {
-		out[tr] = filterOf(tr.Pat)
-	}
-	return out
-}
-
 // mayFire reports whether any transition sourced at ref can possibly
-// match at some point of the block. Results are cached per (block,
-// ref). With compiled dispatch attached the answer comes from the
-// run-wide per-block admit bitsets (one walk per block at compile
-// time, shared across engines); otherwise block features are computed
-// per engine on the block's first traversal.
+// match at some point of the block. The answer comes from the compiled
+// dispatch's per-block admit bitsets (one walk per block at compile
+// time, shared across engines) and is cached per (block, ref). An
+// engine with no automaton attached dispatches every transition: that
+// is the unfiltered reference the compiled filter is tested against.
 func (en *Engine) mayFire(bi *blockInfo, b *cfg.Block, ref metal.StateRef) bool {
+	if en.compiled == nil {
+		return true
+	}
 	if v, ok := bi.fire[ref]; ok {
 		return v
 	}
-	var fire bool
-	if en.compiled != nil {
-		fire = en.compiled.blockMayFire(b, en.transIdx[ref])
-	} else {
-		if bi.feats == nil {
-			bi.feats = featsOf(b, blockPoints(bi, b))
-		}
-		for _, tr := range en.transIdx[ref] {
-			for _, a := range en.filters[tr].atoms {
-				if bi.feats.admits(a) {
-					fire = true
-					break
-				}
-			}
-			if fire {
-				break
-			}
-		}
-	}
+	fire := en.compiled.blockMayFire(b, en.transIdx[ref])
 	if bi.fire == nil {
 		bi.fire = map[stateRefKey]bool{}
 	}

@@ -194,7 +194,7 @@ func TestPrefilterSoundnessProperty(t *testing.T) {
 				feats := featsOf(b, points)
 				for _, pat := range pats {
 					admitted := false
-					for _, a := range filterOf(pat).atoms {
+					for _, a := range filterOf(pat) {
 						if feats.admits(a) {
 							admitted = true
 							break

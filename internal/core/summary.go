@@ -122,9 +122,6 @@ type blockInfo struct {
 	// coverage falls back to tuple-only (the paper's behaviour).
 	fpSeen map[string]map[tid]bool
 	in     *interner
-	// feats caches the block's syntactic features for the transition
-	// pre-filter (see prefilter.go); nil until first traversal.
-	feats *blockFeats
 	// fire caches, per state ref, whether any of the ref's
 	// transitions can possibly fire at a point of this block.
 	fire map[stateRefKey]bool

@@ -173,9 +173,8 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 
 // runJob executes one unit exactly as the coordinator's live path
 // would: fresh engine, barrier marks pre-applied to a private shared
-// store, compiled dispatch when the options ask for it. It returns
-// the encoded entry (nil when the run must not be cached) and the
-// job's result.
+// store, compiled dispatch attached. It returns the encoded entry (nil
+// when the run must not be cached) and the job's result.
 func (w *Worker) runJob(r *http.Request, tree *workerTree, opts core.Options, uj mc.UnitJob) ([]byte, JobResult) {
 	c, err := metal.Parse(uj.CheckerSrc)
 	if err != nil {
@@ -198,9 +197,7 @@ func (w *Worker) runJob(r *http.Request, tree *workerTree, opts core.Options, uj
 		shared.Mark(ev.Name, ev.Key)
 	}
 	en := core.NewEngineShared(tree.prog, c, opts, shared)
-	if opts.MultiDispatch {
-		en.SetCompiled(core.CompileDispatch(tree.prog, []*metal.Checker{c}), 0)
-	}
+	en.SetCompiled(core.CompileDispatch(tree.prog, []*metal.Checker{c}), 0)
 	runs := en.RunRootsContext(r.Context(), roots)
 	// The cache governance rule, verbatim: degraded or failed runs are
 	// never written — a cached entry always represents a complete

@@ -82,12 +82,14 @@ type Config struct {
 	// RequestTimeout bounds each admitted analysis run; an expired run
 	// returns 503 and rolls the resident tree back. 0 means unbounded.
 	RequestTimeout time.Duration
-	// Budgets bounds each traversal inside a run (mc.RunConfig.Budgets).
+	// Budgets bounds each traversal inside a run; a non-zero value
+	// overrides Options.Budgets.
 	Budgets mc.Budgets
 	// MaxResidentMB enables streaming mode (DESIGN.md §12): analyzed
 	// summaries spill to disk and ASTs are released once their unit
 	// retires, bounding the daemon's peak residency. 0 = keep
-	// everything in memory. Output is identical either way.
+	// everything in memory. Output is identical either way. > 0
+	// overrides Options.MaxResidentMB.
 	MaxResidentMB int
 	// SpillDir is where streaming mode spills summaries; empty means a
 	// per-run temp directory.
@@ -287,13 +289,21 @@ func retryAfterSeconds(d time.Duration, inflight int64) int {
 // its own units.
 func (s *Server) newAnalyzer(tree map[string]string, tenant string) (*mc.Analyzer, error) {
 	a := mc.NewAnalyzer()
+	opts := mc.DefaultOptions()
+	if s.cfg.Options != nil {
+		opts = *s.cfg.Options
+	}
+	if s.cfg.Budgets.Active() {
+		opts.Budgets = s.cfg.Budgets
+	}
+	if s.cfg.MaxResidentMB > 0 {
+		opts.MaxResidentMB = s.cfg.MaxResidentMB
+	}
 	cfg := mc.RunConfig{
-		Options:       s.cfg.Options,
-		Jobs:          s.cfg.Jobs,
-		CacheStore:    s.store,
-		Budgets:       s.cfg.Budgets,
-		MaxResidentMB: s.cfg.MaxResidentMB,
-		SpillDir:      s.cfg.SpillDir,
+		Options:    &opts,
+		Jobs:       s.cfg.Jobs,
+		CacheStore: s.store,
+		SpillDir:   s.cfg.SpillDir,
 	}
 	if s.cfg.Fleet != nil {
 		cfg.UnitRunner = s.cfg.Fleet.RunnerFor(tenant)

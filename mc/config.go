@@ -1,8 +1,9 @@
 package mc
 
 // Consolidated configuration (the context-first API surface, DESIGN.md
-// §9): RunConfig gathers every knob — options, parallelism, cache
-// wiring, budgets, timeout — and Configure applies them in one call.
+// §9): RunConfig gathers every knob — options (budgets and the
+// streaming memory budget included), parallelism, cache wiring,
+// timeout — and Configure applies them in one call.
 // This is the only configuration surface; the per-field setters from
 // earlier releases are gone (see README.md "Configuring the analyzer").
 
@@ -34,7 +35,9 @@ type CheckerFailure = core.CheckerFailure
 // and AnalyzeContext. The zero value changes nothing: every field is
 // optional and only non-zero fields are applied.
 type RunConfig struct {
-	// Options replaces the engine feature switches when non-nil.
+	// Options replaces the engine options when non-nil: the feature
+	// switches, the traversal Budgets, and MaxResidentMB (streaming
+	// mode, DESIGN.md §12).
 	Options *Options
 	// Jobs sets the worker count for parallel parsing and checker
 	// execution; 0 keeps the current setting, negative restores the
@@ -46,14 +49,6 @@ type RunConfig struct {
 	// CacheStore enables the analysis cache on an arbitrary store
 	// (e.g. cache.NewMemStore() for a resident daemon).
 	CacheStore cache.Store
-	// Budgets bounds each traversal; a non-zero value overrides
-	// Options.Budgets (so callers can pass DefaultOptions plus a
-	// budget without touching the struct).
-	Budgets Budgets
-	// MaxResidentMB enables the streaming mode (DESIGN.md §12) with a
-	// soft memory budget in MiB; > 0 overrides Options.MaxResidentMB.
-	// Output stays byte-identical to the in-memory run.
-	MaxResidentMB int
 	// SpillDir is the streaming mode's summary-store directory
 	// (created if needed). Empty spills to a per-run temp directory
 	// that is removed when the run returns — set it (or share
@@ -79,12 +74,6 @@ func (a *Analyzer) Configure(cfg RunConfig) error {
 	}
 	if cfg.Options != nil {
 		a.opts = *cfg.Options
-	}
-	if cfg.Budgets.Active() {
-		a.opts.Budgets = cfg.Budgets
-	}
-	if cfg.MaxResidentMB > 0 {
-		a.opts.MaxResidentMB = cfg.MaxResidentMB
 	}
 	if cfg.SpillDir != "" {
 		a.spillDir = cfg.SpillDir

@@ -8,6 +8,7 @@ package mc
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -98,7 +99,8 @@ func explosionConfig(budgets Budgets) RunConfig {
 	opts := DefaultOptions()
 	opts.BlockCache = false
 	opts.FPP = false
-	return RunConfig{Options: &opts, Budgets: budgets}
+	opts.Budgets = budgets
+	return RunConfig{Options: &opts}
 }
 
 func TestPathExplosionBudgetDegrades(t *testing.T) {
@@ -196,6 +198,91 @@ func TestDegradedUnitNeverCached(t *testing.T) {
 	}
 }
 
+// TestInstanceOpsBudgetKeysTheCache: a warm run under an InstanceOps
+// budget must not replay entries an unbudgeted run wrote; it degrades
+// exactly like a cold run under the same budget.
+func TestInstanceOpsBudgetKeysTheCache(t *testing.T) {
+	srcs, _ := workload.MixedTree(2, 10, 7)
+	run := func(budgets Budgets, store cache.Store) *Result {
+		a := NewAnalyzer()
+		opts := DefaultOptions()
+		opts.Budgets = budgets
+		if err := a.Configure(RunConfig{Options: &opts, CacheStore: store}); err != nil {
+			t.Fatal(err)
+		}
+		for name, src := range srcs {
+			a.AddSource(name, src)
+		}
+		for _, name := range []string{"free", "lock", "null"} {
+			if err := a.LoadBundledChecker(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := a.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	budget := Budgets{InstanceOps: 1}
+	cold := run(budget, nil)
+	if !cold.Degraded {
+		t.Fatal("cold run under InstanceOps=1 not degraded")
+	}
+	store := cache.NewMemStore()
+	if full := run(Budgets{}, store); full.Degraded || len(full.Reports) <= len(cold.Reports) {
+		t.Fatalf("unbudgeted run: degraded=%v, %d reports; want complete with more than %d",
+			full.Degraded, len(full.Reports), len(cold.Reports))
+	}
+	warm := run(budget, store)
+	if !warm.Degraded {
+		t.Error("warm run under InstanceOps=1 replayed the unbudgeted result")
+	}
+	if len(warm.Reports) != len(cold.Reports) {
+		t.Fatalf("warm run: %d reports, cold run: %d", len(warm.Reports), len(cold.Reports))
+	}
+	for i := range cold.Reports {
+		if reportKey(warm.Reports[i]) != reportKey(cold.Reports[i]) {
+			t.Errorf("warm report %d differs from cold", i)
+		}
+	}
+}
+
+// TestOptionsFingerprintCoversEveryField: changing any Options or
+// Budgets field must re-key the cache, except MaxResidentMB, which
+// cannot change an output byte. The fields are walked by reflection,
+// so a field added later is covered without editing this test.
+func TestOptionsFingerprintCoversEveryField(t *testing.T) {
+	opts := DefaultOptions()
+	baseFP := optionsFingerprint(opts)
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			if f.Kind() == reflect.Struct {
+				walk(f, name+".")
+				continue
+			}
+			saved := reflect.New(f.Type()).Elem()
+			saved.Set(f)
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			default:
+				t.Fatalf("%s: unhandled field kind %s", name, f.Kind())
+			}
+			changed := optionsFingerprint(opts) != baseFP
+			f.Set(saved)
+			if want := name != "MaxResidentMB"; changed != want {
+				t.Errorf("%s: fingerprint changed=%v, want %v", name, changed, want)
+			}
+		}
+	}
+	walk(reflect.ValueOf(&opts).Elem(), "")
+}
+
 // TestCompleteRunStillCached: the degraded-never-cached rule must not
 // break normal caching — an identical budget that never trips caches
 // and replays as usual.
@@ -207,7 +294,9 @@ func TestCompleteRunStillCached(t *testing.T) {
 		if err := a.LoadBundledChecker("free"); err != nil {
 			t.Fatal(err)
 		}
-		cfg := RunConfig{Budgets: Budgets{FuncBlocks: 1 << 40}, CacheStore: store}
+		opts := DefaultOptions()
+		opts.Budgets = Budgets{FuncBlocks: 1 << 40}
+		cfg := RunConfig{Options: &opts, CacheStore: store}
 		if err := a.Configure(cfg); err != nil {
 			t.Fatal(err)
 		}

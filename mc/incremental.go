@@ -177,14 +177,12 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	// cost. A streaming entry carries no inline Summaries; either mode
 	// reads both entry shapes, so spill on/off share cache keys.
 	var stream *streamState
-	var retire *prog.RetirePlan
 	if a.opts.MaxResidentMB > 0 {
 		stream, err = a.newStream(p, files, len(a.checkers))
 		if err != nil {
 			return nil, err
 		}
 		defer stream.cleanup()
-		retire = p.PlanRetire(p.Roots)
 	}
 	incr.BuildNanos = time.Since(t0).Nanoseconds()
 
@@ -202,10 +200,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 	// Multi-checker compiled dispatch, shared by every live engine in
 	// every phase (the structure is purely syntactic, so one build
 	// covers all phases; replayed units never consult it).
-	var compiled *core.CompiledDispatch
-	if a.opts.MultiDispatch {
-		compiled = core.CompileDispatch(p, a.checkers)
-	}
+	compiled := core.CompileDispatch(p, a.checkers)
 	tasksByChecker := make([][]*unitTask, len(a.checkers))
 	for _, phase := range core.PlanPhases(a.checkers) {
 		// The marks visible to every engine in this phase are exactly
@@ -251,15 +246,7 @@ func (a *Analyzer) runCached(ctx context.Context) (*Result, error) {
 			go func(t *unitTask) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				en := core.NewEngineShared(p, a.checkers[t.ci], a.opts, a.shared)
-				if compiled != nil {
-					en.SetCompiled(compiled, t.ci)
-				}
-				if stream != nil {
-					en.SetSpill(stream.store, stream.keyFor(a.checkerFPs[t.ci]))
-					en.SetRetire(retire, stream.release.done)
-					en.ShareRetired(stream.retired[a.checkerFPs[t.ci]])
-				}
+				en := a.newEngine(p, t.ci, compiled, stream)
 				t.runs = en.RunRootsContext(ctx, t.roots)
 				t.eng = en
 			}(t)
@@ -570,7 +557,7 @@ func sumAnalyses(s *core.Stats) int {
 func optionsFingerprint(o Options) string {
 	var sb strings.Builder
 	sb.WriteString("opts|")
-	for _, b := range []bool{o.Interprocedural, o.BlockCache, o.FunctionCache, o.FPP, o.Synonyms, o.Kills, o.MultiDispatch} {
+	for _, b := range []bool{o.Interprocedural, o.BlockCache, o.FunctionCache, o.FPP, o.Synonyms, o.Kills} {
 		if b {
 			sb.WriteByte('1')
 		} else {
@@ -589,6 +576,7 @@ func optionsFingerprint(o Options) string {
 		strconv.FormatInt(o.Budgets.PathSteps, 10),
 		strconv.FormatInt(o.Budgets.FuncBlocks, 10),
 		strconv.FormatInt(int64(o.Budgets.FuncTime), 10),
+		strconv.FormatInt(o.Budgets.InstanceOps, 10),
 	}, ","))
 	return sb.String()
 }

@@ -271,33 +271,18 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	// checker is done with them. Eviction never touches state a
 	// remaining traversal can read, so output is unchanged.
 	var stream *streamState
-	var retire *prog.RetirePlan
 	if a.opts.MaxResidentMB > 0 {
 		stream, err = a.newStream(p, files, len(a.checkers))
 		if err != nil {
 			return nil, err
 		}
 		defer stream.cleanup()
-		retire = p.PlanRetire(p.Roots)
 	}
 
+	cd := core.CompileDispatch(p, a.checkers)
 	engines := make([]*core.Engine, len(a.checkers))
-	for i, c := range a.checkers {
-		engines[i] = core.NewEngineShared(p, c, a.opts, a.shared)
-		if stream != nil {
-			engines[i].SetSpill(stream.store, stream.keyFor(a.checkerFPs[i]))
-			engines[i].SetRetire(retire, stream.release.done)
-			engines[i].ShareRetired(stream.retired[a.checkerFPs[i]])
-		}
-	}
-	// Multi-checker compiled dispatch (DESIGN.md §11): one automaton
-	// over the union of all loaded checkers' patterns, built once per
-	// run and shared read-only by every engine.
-	if a.opts.MultiDispatch {
-		cd := core.CompileDispatch(p, a.checkers)
-		for i := range engines {
-			engines[i].SetCompiled(cd, i)
-		}
+	for i := range a.checkers {
+		engines[i] = a.newEngine(p, i, cd, stream)
 	}
 	for _, phase := range core.PlanPhases(a.checkers) {
 		a.runPhase(ctx, engines, phase)
@@ -331,6 +316,23 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		return res, err
 	}
 	return res, nil
+}
+
+// newEngine builds a live engine for checker ci with the wiring every
+// live engine of a run shares: the annotation store, the run's
+// compiled multi-checker dispatch (DESIGN.md §11; one automaton over
+// the union of all loaded checkers' patterns, built once per run and
+// read-only), and in streaming mode the spill/retire hooks (§12).
+func (a *Analyzer) newEngine(p *prog.Program, ci int, cd *core.CompiledDispatch, stream *streamState) *core.Engine {
+	en := core.NewEngineShared(p, a.checkers[ci], a.opts, a.shared)
+	en.SetCompiled(cd, ci)
+	if stream != nil {
+		fp := a.checkerFPs[ci]
+		en.SetSpill(stream.store, stream.keyFor(fp))
+		en.SetRetire(stream.retire, stream.release.done)
+		en.ShareRetired(stream.retired[fp])
+	}
+	return en
 }
 
 // collectGovernance folds one engine's failure/degradation records

@@ -9,15 +9,17 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/workload"
 )
 
 // runSuite analyzes the given sources with every bundled checker at the
-// given parallelism and returns the result.
-func runSuite(t *testing.T, srcs map[string]string, jobs int) *Result {
+// given parallelism, against store (nil = the plain path), and returns
+// the result.
+func runSuite(t *testing.T, srcs map[string]string, jobs int, store cache.Store) *Result {
 	t.Helper()
 	a := NewAnalyzer()
-	if err := a.Configure(RunConfig{Jobs: jobs}); err != nil {
+	if err := a.Configure(RunConfig{Jobs: jobs, CacheStore: store}); err != nil {
 		t.Fatal(err)
 	}
 	for name, src := range srcs {
@@ -52,8 +54,8 @@ func reportKey(r *Report) string {
 // order with the same why-traces, same RuleStats, same Stats.
 func TestParallelRunMatchesSequential(t *testing.T) {
 	srcs, _ := workload.MixedTree(4, 25, 2002)
-	seq := runSuite(t, srcs, 1)
-	par := runSuite(t, srcs, 4)
+	seq := runSuite(t, srcs, 1, nil)
+	par := runSuite(t, srcs, 4, nil)
 
 	if len(seq.Reports) == 0 {
 		t.Fatal("sequential run produced no reports; workload regressed")
@@ -88,9 +90,9 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 // reproduce the -j 1 output exactly.
 func TestParallelismLevelsAgree(t *testing.T) {
 	srcs, _ := workload.MixedTree(3, 12, 77)
-	base := runSuite(t, srcs, 1)
+	base := runSuite(t, srcs, 1, nil)
 	for _, j := range []int{2, 3, 8} {
-		res := runSuite(t, srcs, j)
+		res := runSuite(t, srcs, j, nil)
 		if len(res.Reports) != len(base.Reports) {
 			t.Fatalf("-j %d: report count %d, want %d", j, len(res.Reports), len(base.Reports))
 		}

@@ -94,6 +94,9 @@ func (ar *astReleaser) count() int64 {
 type streamState struct {
 	store   *spill.Store
 	release *astReleaser
+	// retire schedules each engine's per-function eviction over the
+	// unit DAG rooted at the program's roots.
+	retire  *prog.RetirePlan
 	optsFP  string
 	envFP   string
 	funcKey map[*prog.Function]string
@@ -145,6 +148,7 @@ func (a *Analyzer) newStream(p *prog.Program, files []*cc.File, need int) (*stre
 	st := &streamState{
 		store:   spill.New(lg, budget),
 		release: newASTReleaser(p.All, need),
+		retire:  p.PlanRetire(p.Roots),
 		optsFP:  optionsFingerprint(a.opts),
 		envFP:   cc.EnvHash(files),
 		funcKey: make(map[*prog.Function]string, len(p.All)),

@@ -25,10 +25,12 @@ import (
 func streamRun(t *testing.T, srcs map[string]string, jobs, maxMB int, store cache.Store) *Result {
 	t.Helper()
 	a := NewAnalyzer()
+	opts := DefaultOptions()
+	opts.MaxResidentMB = maxMB
 	if err := a.Configure(RunConfig{
-		Jobs:          jobs,
-		MaxResidentMB: maxMB,
-		CacheStore:    store,
+		Options:    &opts,
+		Jobs:       jobs,
+		CacheStore: store,
 	}); err != nil {
 		t.Fatal(err)
 	}
