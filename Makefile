@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test race smoke-fleet bench-parallel bench-incr bench-gov bench-multicheck bench-scale bench-feas bench-registry bench-fleet bench-micro bench-selftest profile clean
+.PHONY: check fmt vet staticcheck build test race smoke-fleet bench-parallel bench-incr bench-gov bench-multicheck bench-scale bench-feas bench-registry bench-fleet bench-micro bench-selftest fuzz-short profile clean
 
 check: fmt vet staticcheck build race smoke-fleet
 
@@ -114,6 +114,14 @@ bench-micro:
 # its own module, so the root `go test ./...` never reaches it.
 bench-selftest:
 	cd e2ebench && $(GO) test ./...
+
+# Short native fuzzing of the decoders of remote bytes (ROADMAP item
+# 4): the fleet worker's /v1/work handler. -fuzzminimizetime bounds
+# the minimization of each new interesting input, which would
+# otherwise eat the whole -fuzztime; crashers land in
+# internal/fleet/testdata/fuzz/ and replay in every `go test`.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkRequest$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/fleet
 
 # CPU + allocation profiles of a full suite run (written to pprof/).
 # Inspect with: go tool pprof pprof/mcbench.cpu

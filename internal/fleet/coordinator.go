@@ -86,13 +86,17 @@ type job struct {
 	tries  int
 }
 
+// runState is what every job of one UnitRunner call shares; post
+// sends it once per batch.
 type runState struct {
-	ctx    context.Context
-	tenant string
-	treeFP string
-	files  map[string]string
-	opts   mc.Options
-	wg     sync.WaitGroup
+	ctx      context.Context
+	tenant   string
+	treeFP   string
+	files    map[string]string
+	opts     mc.Options
+	checkers []string
+	marks    []mc.MarkEvent
+	wg       sync.WaitGroup
 }
 
 // NewCoordinator starts one dispatch loop per configured worker.
@@ -157,6 +161,7 @@ func (c *Coordinator) RunnerFor(tenant string) mc.UnitRunner {
 		rs := &runState{
 			ctx: ctx, tenant: tenant,
 			treeFP: run.TreeFP, files: run.Files, opts: run.Options,
+			checkers: run.Checkers, marks: run.Marks,
 		}
 		admitted := 0
 		c.mu.Lock()
@@ -292,8 +297,9 @@ func (c *Coordinator) workerLoop(url string) {
 				c.resolve(j, true)
 			case ok:
 				// The job ran and was declined (degraded, checker
-				// failure): retrying reproduces the outcome, so send
-				// it straight to the local fallback path.
+				// failure, a job the worker cannot run): retrying
+				// reproduces the outcome, so send it straight to the
+				// local fallback path.
 				c.localFallback.Add(1)
 				c.resolve(j, false)
 			default:
@@ -307,7 +313,10 @@ func (c *Coordinator) workerLoop(url string) {
 
 // post sends one batch to one worker and indexes the results by key.
 func (c *Coordinator) post(url string, run *runState, batch []*job) (map[string]JobResult, error) {
-	wreq := WorkRequest{TreeFP: run.treeFP, Files: run.files, Options: run.opts}
+	wreq := WorkRequest{
+		TreeFP: run.treeFP, Files: run.files, Options: run.opts,
+		Checkers: run.checkers, Marks: run.marks,
+	}
 	for _, j := range batch {
 		wreq.Jobs = append(wreq.Jobs, j.uj)
 	}

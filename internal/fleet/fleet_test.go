@@ -13,6 +13,7 @@ package fleet_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -56,6 +57,12 @@ func digest(res *mc.Result) string {
 // the plain single-process path.
 func run(t *testing.T, srcs map[string]string, store cache.Store, runner mc.UnitRunner) (*mc.Result, string) {
 	t.Helper()
+	return runCheckers(t, srcs, store, runner, fleetCheckers)
+}
+
+// runCheckers is run with an explicit checker list.
+func runCheckers(t testing.TB, srcs map[string]string, store cache.Store, runner mc.UnitRunner, checkers []string) (*mc.Result, string) {
+	t.Helper()
 	a := mc.NewAnalyzer()
 	if err := a.Configure(mc.RunConfig{Jobs: 2, CacheStore: store, UnitRunner: runner}); err != nil {
 		t.Fatal(err)
@@ -63,7 +70,7 @@ func run(t *testing.T, srcs map[string]string, store cache.Store, runner mc.Unit
 	for name, src := range srcs {
 		a.AddSource(name, src)
 	}
-	for _, c := range fleetCheckers {
+	for _, c := range checkers {
 		if err := a.LoadBundledChecker(c); err != nil {
 			t.Fatal(err)
 		}
@@ -97,9 +104,13 @@ func TestFleetByteIdenticalColdAndWarm(t *testing.T) {
 		t.Fatal("single-process cached run differs from plain (pre-existing)")
 	}
 
-	for _, workers := range []int{1, 3} {
+	// The BatchSize 1 arm pins that batching does not change output:
+	// every job is its own request, yet all of them share the run's
+	// checker table.
+	for _, arm := range []struct{ workers, batch int }{{1, 0}, {3, 0}, {2, 1}} {
+		workers := arm.workers
 		cas := cache.NewMemStore()
-		co := fleet.NewCoordinator(fleet.Config{Workers: startWorkers(t, cas, workers)})
+		co := fleet.NewCoordinator(fleet.Config{Workers: startWorkers(t, cas, workers), BatchSize: arm.batch})
 		defer co.Close()
 
 		cold, coldDigest := run(t, srcs, cas, co.RunnerFor("t1"))
@@ -219,23 +230,51 @@ func TestFleetTenantQuotaRefusesNotFails(t *testing.T) {
 	}
 }
 
-// TestWorkerTreeReuse pins the worker-side program cache: two
-// requests for one tree build it once.
+// TestWorkerTreeReuse pins the worker-side program and checker-set
+// caches: a cold run over every bundled checker, one job per request,
+// builds the tree once and compiles the run's dispatch automaton once
+// — not once per job — because every job names its checker by index
+// into the run's one checker table.
 func TestWorkerTreeReuse(t *testing.T) {
 	srcs, _ := workload.MixedTree(2, 6, 45)
 	cas := cache.NewMemStore()
 	w := fleet.NewWorker(cas, 1)
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
-	co := fleet.NewCoordinator(fleet.Config{Workers: []string{srv.URL}})
+	co := fleet.NewCoordinator(fleet.Config{Workers: []string{srv.URL}, BatchSize: 1})
 	defer co.Close()
 
-	run(t, srcs, cas, co.RunnerFor("t1"))
+	var all []string
+	for _, s := range mc.BundledCheckers() {
+		all = append(all, s.Name)
+	}
+	res, _ := runCheckers(t, srcs, cas, co.RunnerFor("t1"), all)
 	st := w.Stats()
 	if st.TreesBuilt != 1 {
 		t.Fatalf("worker built %d trees for one source set (reused %d)", st.TreesBuilt, st.TreesReused)
 	}
-	if st.JobsFilled == 0 {
-		t.Fatal("worker filled nothing")
+	if st.JobsFilled == 0 || res.Incr.UnitsRemote == 0 {
+		t.Fatalf("worker filled nothing: %+v", st)
+	}
+	if st.Requests != st.JobsRun || st.JobsRun < 2 {
+		t.Fatalf("BatchSize 1 sent %d requests for %d jobs", st.Requests, st.JobsRun)
+	}
+	if st.DispatchCompiles != st.TreesBuilt {
+		t.Fatalf("worker compiled dispatch %d times for %d jobs over %d tree(s); want once per tree",
+			st.DispatchCompiles, st.JobsRun, st.TreesBuilt)
+	}
+
+	// The counter is served on the worker's /v1/stats.
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var served fleet.WorkerStats
+	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil {
+		t.Fatal(err)
+	}
+	if served.DispatchCompiles != st.DispatchCompiles {
+		t.Fatalf("/v1/stats dispatch_compiles = %d, want %d", served.DispatchCompiles, st.DispatchCompiles)
 	}
 }

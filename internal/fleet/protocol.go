@@ -10,27 +10,38 @@ package fleet
 // replay path, so fleet output needs no consistency argument beyond
 // the one the cache already carries: keys name complete computations,
 // and incomplete computations are never stored.
+//
+// Per-run state (tree, options, checker table, phase marks) travels
+// once per request; a job is only a key, a checker index and a unit's
+// function and root IDs.
 
 import "repro/mc"
 
 // WorkRequest is one batch of unit jobs posted to a worker's
-// /v1/work. Every job in a batch shares one source tree and one
-// option set (the coordinator only batches jobs from the same run).
-// TreeFP fingerprints Files so a warm worker can reuse its built
-// program without re-hashing the sources.
+// /v1/work. Every job in a batch shares one run: one source tree, one
+// option set, one checker table and one phase's marks (the coordinator
+// only batches jobs from the same run). TreeFP fingerprints Files so a
+// warm worker can reuse its built program without re-hashing the
+// sources; the worker keys its parsed checkers and their compiled
+// union dispatch automaton by the Checkers table, so every job of a
+// run — across batches — shares one compile. A job names its checker
+// by index into Checkers.
 type WorkRequest struct {
-	TreeFP  string            `json:"tree_fp"`
-	Files   map[string]string `json:"files"`
-	Options mc.Options        `json:"options"`
-	Jobs    []mc.UnitJob      `json:"jobs"`
+	TreeFP   string            `json:"tree_fp"`
+	Files    map[string]string `json:"files"`
+	Options  mc.Options        `json:"options"`
+	Checkers []string          `json:"checkers"`
+	Marks    []mc.MarkEvent    `json:"marks,omitempty"`
+	Jobs     []mc.UnitJob      `json:"jobs"`
 }
 
 // JobResult reports one job's outcome. Filled means the complete
 // entry is in the shared store under Key — the worker always writes
 // before it responds, so a coordinator that sees Filled can re-probe
 // immediately. An unfilled result with Err set means the job RAN and
-// must not be retried: a degraded run or a checker panic would fail
-// the same way on any worker, so the unit belongs on the
+// must not be retried: a degraded run, a checker panic or a job the
+// worker cannot run (an unparsable checker, a bad checker index, an
+// unknown function) would fail the same way on any worker, so the unit belongs on the
 // coordinator's local fallback path (which records the degradation or
 // failure in the result, exactly as a non-fleet run would).
 // Transport-level failures never appear here — the coordinator sees
@@ -46,14 +57,17 @@ type WorkResponse struct {
 	Results []JobResult `json:"results"`
 }
 
-// WorkerStats is a worker's /v1/stats payload.
+// WorkerStats is a worker's /v1/stats payload. DispatchCompiles
+// counts union dispatch automata built: one per (tree, checker table)
+// while both stay cached, however many jobs and batches use it.
 type WorkerStats struct {
-	Requests    int64 `json:"requests"`
-	JobsRun     int64 `json:"jobs_run"`
-	JobsFilled  int64 `json:"jobs_filled"`
-	TreesBuilt  int64 `json:"trees_built"`
-	TreesReused int64 `json:"trees_reused"`
-	EntryPuts   int64 `json:"entry_puts"`
+	Requests         int64 `json:"requests"`
+	JobsRun          int64 `json:"jobs_run"`
+	JobsFilled       int64 `json:"jobs_filled"`
+	TreesBuilt       int64 `json:"trees_built"`
+	TreesReused      int64 `json:"trees_reused"`
+	DispatchCompiles int64 `json:"dispatch_compiles"`
+	EntryPuts        int64 `json:"entry_puts"`
 }
 
 // Stats is the coordinator's counter snapshot, merged into the

@@ -2,13 +2,16 @@ package fleet
 
 // The fleet worker: an HTTP service that fills unit cache keys
 // (DESIGN.md §15). A worker owns no analysis state beyond a small
-// cache of built programs keyed by tree fingerprint; everything it
-// produces goes into the shared store, where the coordinator — or any
-// other coordinator sharing the CAS — replays it. A worker run
-// mirrors the coordinator's live-unit path exactly: fresh engine per
-// job, marks pre-applied from the job's phase barrier, and nothing is
-// ever written for a degraded or failed run, so a partial result
-// cannot poison the cache no matter when the worker dies.
+// cache of built programs keyed by tree fingerprint, each with the
+// checker sets compiled over it; everything it produces goes into the
+// shared store, where the coordinator — or any other coordinator
+// sharing the CAS — replays it. A worker run mirrors the coordinator's
+// live-unit path exactly: the run's checkers parsed once and compiled
+// into one union dispatch automaton per tree, a fresh engine per job
+// attached to its checker's slot, marks pre-applied from the run's
+// phase barrier, and nothing ever written for a degraded or failed
+// run, so a partial result cannot poison the cache no matter when the
+// worker dies.
 
 import (
 	"encoding/json"
@@ -31,7 +34,8 @@ import (
 const workerMaxBody = 256 << 20
 
 // workerMaxTrees bounds the built-program cache: beyond this many
-// distinct tree fingerprints, the least recently used is evicted.
+// distinct tree fingerprints, the least recently used is evicted. It
+// bounds each tree's checker sets the same way.
 const workerMaxTrees = 4
 
 // Worker serves the fleet job protocol over a shared store.
@@ -39,26 +43,75 @@ type Worker struct {
 	cas  cache.Store
 	jobs int
 
-	mu    sync.Mutex
-	trees map[string]*workerTree
-	order []string // LRU, most recent last
+	trees lru[workerTree]
 
-	requests    atomic.Int64
-	jobsRun     atomic.Int64
-	jobsFilled  atomic.Int64
-	treesBuilt  atomic.Int64
-	treesReused atomic.Int64
-	entryPuts   atomic.Int64
+	requests         atomic.Int64
+	jobsRun          atomic.Int64
+	jobsFilled       atomic.Int64
+	treesBuilt       atomic.Int64
+	treesReused      atomic.Int64
+	dispatchCompiles atomic.Int64
+	entryPuts        atomic.Int64
 }
 
 // workerTree is one built program, constructed at most once per tree
 // fingerprint (concurrent requests for the same tree share the build
-// through the once).
+// through the once). sets holds the checker sets compiled over it and
+// is evicted with it.
 type workerTree struct {
 	once sync.Once
 	prog *prog.Program
 	byID map[string]*prog.Function
 	err  error
+	sets lru[checkerSet]
+}
+
+// checkerSet is one run's checker table, parsed once and compiled
+// into one union dispatch automaton over its tree — the structure the
+// coordinator's own live path shares across every engine of a run.
+// checkers and errs are indexed like the table: a nil checker has an
+// errs entry saying why no job may name it.
+type checkerSet struct {
+	once     sync.Once
+	checkers []*metal.Checker
+	errs     []string
+	slots    []int // table index -> slot in cd
+	cd       *core.CompiledDispatch
+}
+
+// lru is a small fingerprint-keyed cache of build-once values holding
+// at most workerMaxTrees entries; the least recently used is evicted.
+type lru[T any] struct {
+	mu    sync.Mutex
+	items map[string]*T
+	order []string // most recent last
+}
+
+// get returns the entry for key, creating an empty one on first
+// sight; hit reports whether it already existed.
+func (c *lru[T]) get(key string) (v *T, hit bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v = c.items[key]; v != nil {
+		for i, o := range c.order { // refresh LRU position
+			if o == key {
+				c.order = append(append(c.order[:i:i], c.order[i+1:]...), key)
+				break
+			}
+		}
+		return v, true
+	}
+	if c.items == nil {
+		c.items = map[string]*T{}
+	}
+	v = new(T)
+	c.items[key] = v
+	c.order = append(c.order, key)
+	if len(c.order) > workerMaxTrees {
+		delete(c.items, c.order[0])
+		c.order = c.order[1:]
+	}
+	return v, false
 }
 
 // NewWorker creates a worker over the shared store. jobs bounds
@@ -67,7 +120,7 @@ func NewWorker(cas cache.Store, jobs int) *Worker {
 	if jobs <= 0 {
 		jobs = 1
 	}
-	return &Worker{cas: cas, jobs: jobs, trees: map[string]*workerTree{}}
+	return &Worker{cas: cas, jobs: jobs}
 }
 
 // Handler returns the worker's HTTP mux: POST /v1/work, GET
@@ -89,12 +142,13 @@ func (w *Worker) Handler() http.Handler {
 // Stats snapshots the worker counters.
 func (w *Worker) Stats() WorkerStats {
 	return WorkerStats{
-		Requests:    w.requests.Load(),
-		JobsRun:     w.jobsRun.Load(),
-		JobsFilled:  w.jobsFilled.Load(),
-		TreesBuilt:  w.treesBuilt.Load(),
-		TreesReused: w.treesReused.Load(),
-		EntryPuts:   w.entryPuts.Load(),
+		Requests:         w.requests.Load(),
+		JobsRun:          w.jobsRun.Load(),
+		JobsFilled:       w.jobsFilled.Load(),
+		TreesBuilt:       w.treesBuilt.Load(),
+		TreesReused:      w.treesReused.Load(),
+		DispatchCompiles: w.dispatchCompiles.Load(),
+		EntryPuts:        w.entryPuts.Load(),
 	}
 }
 
@@ -115,6 +169,7 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "build: "+tree.err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
+	set := w.checkerSet(tree, req.Checkers)
 
 	// The worker always runs in-memory: MaxResidentMB is excluded from
 	// the options fingerprint, and entries with inline summaries replay
@@ -137,7 +192,7 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			w.jobsRun.Add(1)
-			entries[i], results[i] = w.runJob(r, tree, opts, uj)
+			entries[i], results[i] = w.runJob(r, tree, set, req.Marks, opts, uj)
 		}(i, uj)
 	}
 	wg.Wait()
@@ -173,12 +228,19 @@ func (w *Worker) handleWork(rw http.ResponseWriter, r *http.Request) {
 
 // runJob executes one unit exactly as the coordinator's live path
 // would: fresh engine, barrier marks pre-applied to a private shared
-// store, compiled dispatch attached. It returns the encoded entry (nil
-// when the run must not be cached) and the job's result.
-func (w *Worker) runJob(r *http.Request, tree *workerTree, opts core.Options, uj mc.UnitJob) ([]byte, JobResult) {
-	c, err := metal.Parse(uj.CheckerSrc)
-	if err != nil {
-		return nil, JobResult{Key: uj.Key, Err: "checker: " + err.Error()}
+// store, the run's compiled dispatch attached at the checker's slot.
+// It returns the encoded entry (nil when the run must not be cached)
+// and the job's result. A job the worker cannot run — a checker index
+// outside the table or naming a checker it could not load, an unknown
+// function — is declined with Err like any other job that must run on
+// the coordinator instead.
+func (w *Worker) runJob(r *http.Request, tree *workerTree, set *checkerSet, marks []mc.MarkEvent, opts core.Options, uj mc.UnitJob) ([]byte, JobResult) {
+	if uj.Checker < 0 || uj.Checker >= len(set.checkers) {
+		return nil, JobResult{Key: uj.Key, Err: fmt.Sprintf("checker index %d outside a table of %d", uj.Checker, len(set.checkers))}
+	}
+	c := set.checkers[uj.Checker]
+	if c == nil {
+		return nil, JobResult{Key: uj.Key, Err: fmt.Sprintf("checker %d: %s", uj.Checker, set.errs[uj.Checker])}
 	}
 	funcs := make([]*prog.Function, len(uj.Funcs))
 	for i, id := range uj.Funcs {
@@ -193,11 +255,11 @@ func (w *Worker) runJob(r *http.Request, tree *workerTree, opts core.Options, uj
 		}
 	}
 	shared := core.NewShared()
-	for _, ev := range uj.Marks {
+	for _, ev := range marks {
 		shared.Mark(ev.Name, ev.Key)
 	}
 	en := core.NewEngineShared(tree.prog, c, opts, shared)
-	en.SetCompiled(core.CompileDispatch(tree.prog, []*metal.Checker{c}), 0)
+	en.SetCompiled(set.cd, set.slots[uj.Checker])
 	runs := en.RunRootsContext(r.Context(), roots)
 	// The cache governance rule, verbatim: degraded or failed runs are
 	// never written — a cached entry always represents a complete
@@ -234,26 +296,10 @@ func (w *Worker) runJob(r *http.Request, tree *workerTree, opts core.Options, uj
 // store's pass-1 AST cache, batched: one multi-get for every file's
 // AST key, one multi-put for the freshly parsed remainder.
 func (w *Worker) tree(fp string, files map[string]string) *workerTree {
-	w.mu.Lock()
-	t := w.trees[fp]
-	if t == nil {
-		t = &workerTree{}
-		w.trees[fp] = t
-		w.order = append(w.order, fp)
-		if len(w.order) > workerMaxTrees {
-			delete(w.trees, w.order[0])
-			w.order = w.order[1:]
-		}
-	} else {
+	t, hit := w.trees.get(fp)
+	if hit {
 		w.treesReused.Add(1)
-		for i, o := range w.order { // refresh LRU position
-			if o == fp {
-				w.order = append(append(w.order[:i:i], w.order[i+1:]...), fp)
-				break
-			}
-		}
 	}
-	w.mu.Unlock()
 	t.once.Do(func() {
 		w.treesBuilt.Add(1)
 		t.prog, t.err = w.build(files)
@@ -265,6 +311,39 @@ func (w *Worker) tree(fp string, files map[string]string) *workerTree {
 		}
 	})
 	return t
+}
+
+// checkerSet returns the tree's checker set for a checker table,
+// parsing and compiling it on first sight. The set is keyed by the
+// table's content, so every batch of a run — and every run loading the
+// same checkers in the same order — shares one compile. A source that
+// is empty (a checker with native callouts) or fails to parse leaves
+// its slot nil; only jobs naming that slot are declined.
+func (w *Worker) checkerSet(t *workerTree, srcs []string) *checkerSet {
+	s, _ := t.sets.get(cache.Key(append([]string{"checkers"}, srcs...)...))
+	s.once.Do(func() {
+		s.checkers = make([]*metal.Checker, len(srcs))
+		s.errs = make([]string, len(srcs))
+		s.slots = make([]int, len(srcs))
+		var loaded []*metal.Checker
+		for i, src := range srcs {
+			if src == "" {
+				s.errs[i] = "no metal source (native callouts run on the coordinator)"
+				continue
+			}
+			c, err := metal.Parse(src)
+			if err != nil {
+				s.errs[i] = "parse: " + err.Error()
+				continue
+			}
+			s.checkers[i] = c
+			s.slots[i] = len(loaded)
+			loaded = append(loaded, c)
+		}
+		w.dispatchCompiles.Add(1)
+		s.cd = core.CompileDispatch(t.prog, loaded)
+	})
+	return s
 }
 
 func (w *Worker) build(files map[string]string) (*prog.Program, error) {

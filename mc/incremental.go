@@ -439,14 +439,7 @@ func (a *Analyzer) dispatchRemote(ctx context.Context, tasks []*unitTask, marks 
 		for i, fn := range t.roots {
 			roots[i] = prog.FuncID(fn)
 		}
-		jobs = append(jobs, UnitJob{
-			Key:        t.key,
-			CheckerSrc: a.checkerSrcs[t.ci],
-			CheckerFP:  a.checkerFPs[t.ci],
-			Funcs:      funcs,
-			Roots:      roots,
-			Marks:      marks,
-		})
+		jobs = append(jobs, UnitJob{Key: t.key, Checker: t.ci, Funcs: funcs, Roots: roots})
 		pending = append(pending, t)
 	}
 	if len(jobs) == 0 {
@@ -460,10 +453,12 @@ func (a *Analyzer) dispatchRemote(ctx context.Context, tasks []*unitTask, marks 
 	}
 	sort.Strings(treeLines)
 	run := &UnitRun{
-		TreeFP:  cache.Key("tree", strings.Join(treeLines, "\n")),
-		Files:   files,
-		Options: a.opts,
-		Jobs:    jobs,
+		TreeFP:   cache.Key("tree", strings.Join(treeLines, "\n")),
+		Files:    files,
+		Options:  a.opts,
+		Checkers: a.checkerSrcs,
+		Marks:    marks,
+		Jobs:     jobs,
 	}
 	if err := a.unitRunner(ctx, run); err != nil {
 		return // every job falls back to a local run

@@ -11,6 +11,12 @@ package mc
 // not fill — worker loss, degraded remote runs, transport failures —
 // simply stay misses and run locally, so the fallback path is the
 // normal path and no new consistency argument is needed.
+//
+// What every job of a run shares travels once per UnitRun: the source
+// tree, the options, the checker table and the phase's marks. A job
+// names its checker by index into that table, so a worker can parse
+// the table and compile one union dispatch automaton per tree — the
+// coordinator's own live path — instead of one per job.
 
 import (
 	"context"
@@ -19,23 +25,20 @@ import (
 )
 
 // MarkEvent re-exports one composition-mark record (core.MarkEvent).
-// A UnitJob carries the annotation store visible at its phase barrier
+// A UnitRun carries the annotation store visible at its phase barrier
 // as sorted MarkEvents; marks are an idempotent boolean set, so the
 // worker reconstructs the same store by re-applying them.
 type MarkEvent = core.MarkEvent
 
 // UnitJob is one cache-miss (checker, unit) pair offered to the unit
-// runner. Funcs and Roots are prog.FuncIDs into the program built from
-// UnitRun.Files; CheckerSrc is the full metal source (checkers with
-// native Go callouts are never offered — their code cannot ride a
-// wire). Key is the content-addressed unit key the worker must fill.
+// runner. Checker indexes UnitRun.Checkers; Funcs and Roots are
+// prog.FuncIDs into the program built from UnitRun.Files. Key is the
+// content-addressed unit key the worker must fill.
 type UnitJob struct {
-	Key        string      `json:"key"`
-	CheckerSrc string      `json:"checker_src"`
-	CheckerFP  string      `json:"checker_fp"`
-	Funcs      []string    `json:"funcs"`
-	Roots      []string    `json:"roots"`
-	Marks      []MarkEvent `json:"marks,omitempty"`
+	Key     string   `json:"key"`
+	Checker int      `json:"checker"`
+	Funcs   []string `json:"funcs"`
+	Roots   []string `json:"roots"`
 }
 
 // UnitRun is one phase's batch of cache-miss units. Files is the full
@@ -44,11 +47,17 @@ type UnitJob struct {
 // everything); Options are the coordinator's engine options (workers
 // may zero MaxResidentMB: it is excluded from the options fingerprint
 // and entries with or without inline summaries replay identically).
+// Checkers is the metal source of every loaded checker in load order,
+// "" for checkers with native Go callouts (their code cannot ride a
+// wire, so no job ever names them). Marks is the phase's barrier
+// annotation store, shared by every job.
 type UnitRun struct {
-	TreeFP  string            `json:"tree_fp"`
-	Files   map[string]string `json:"files"`
-	Options Options           `json:"options"`
-	Jobs    []UnitJob         `json:"jobs"`
+	TreeFP   string            `json:"tree_fp"`
+	Files    map[string]string `json:"files"`
+	Options  Options           `json:"options"`
+	Checkers []string          `json:"checkers"`
+	Marks    []MarkEvent       `json:"marks,omitempty"`
+	Jobs     []UnitJob         `json:"jobs"`
 }
 
 // UnitRunner executes a UnitRun batch, filling cache keys as a side
